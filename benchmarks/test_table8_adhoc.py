@@ -9,12 +9,16 @@ ClickHouse cluster, averaged over 10 runs):
 """
 import pytest
 
-from repro.core.evaluation import table8_build, table8_run_bsi, table8_run_normal
+from repro.core.evaluation import (
+    table8_build, table8_check, table8_run_bsi, table8_run_normal,
+)
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return table8_build()
+    w = table8_build()
+    table8_check(w)  # no latency for methods that disagree
+    return w
 
 
 @pytest.mark.benchmark(group="table8")

@@ -13,13 +13,17 @@ from _session import hr
 
 
 def run(n_users: int = 120_000, repeats: int = 10):
-    from repro.core.evaluation import table8_build, table8_run_bsi, table8_run_normal
+    from repro.core.evaluation import (
+        table8_build, table8_check, table8_run_bsi, table8_run_normal,
+    )
 
     w = table8_build(n_users=n_users)
     hr(
         f"Table 8: ad-hoc latency, 3 strategies x {len(w.metric_ids)} metrics "
         f"x {len(w.dates)} days (n_users={n_users:,}, {repeats} repeats)"
     )
+    table8_check(w)
+    print("BSI frame == normal frame (exact)")
     out = {}
     for name, fn in (("Normal", table8_run_normal), ("BSI", table8_run_bsi)):
         fn(w)  # warm

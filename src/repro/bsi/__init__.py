@@ -10,6 +10,9 @@ Layering (bottom-up):
 - :mod:`repro.bsi.bsi` — :class:`BSI`, an ordered list of bit-slice
   bitmaps with the paper's arithmetic (§2.3), comparisons (Algs 1–3),
   aggregates (§4.1.3) and constant predicates.
+- :mod:`repro.bsi.slicematrix` — :class:`SliceMatrix`, many BSIs over
+  one position universe as one uint64 bit matrix: batched filtered sums
+  in one popcount pass (the ad-hoc engine's resident form).
 - :mod:`repro.bsi.sparkops` — Spark integration: BSIs as BinaryType
   columns, pandas UDFs and applyInPandas reducers.
 """

@@ -35,6 +35,17 @@ _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
 
 
+def _checked_uint(a, dtype, what: str) -> np.ndarray:
+    """``a`` as ``dtype``, raising instead of wrapping or truncating."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "f" and not isinstance(a, np.ndarray):
+        arr = np.array(a, dtype=object)  # Python ints past int64 parse as float
+    hi = np.iinfo(dtype).max
+    if arr.size and (arr.min() < 0 or arr.max() > hi):
+        raise ValueError(f"BSI {what} must lie in [0, {hi}]")
+    return arr.astype(dtype)
+
+
 class BSI:
     """Bit-sliced index over uint32 positions with uint64 values."""
 
@@ -55,9 +66,10 @@ class BSI:
     @classmethod
     def from_arrays(cls, positions, values) -> "BSI":
         """Build from parallel position/value vectors. Zero values are
-        dropped (non-existing); duplicate positions are an error."""
-        positions = np.asarray(positions, dtype=np.uint32)
-        values = np.asarray(values, dtype=np.uint64)
+        dropped (non-existing); duplicate positions, positions outside
+        uint32 and negative values are errors (no silent wrap-around)."""
+        positions = _checked_uint(positions, np.uint32, "positions")
+        values = _checked_uint(values, np.uint64, "values")
         if len(positions) != len(values):
             raise ValueError("positions and values must align")
         nz = values != 0

@@ -13,7 +13,6 @@ return applyInPandas-ready functions for aggregates over BSIs
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import BinaryType, DoubleType, LongType
 
@@ -46,19 +45,6 @@ def bsi_le_const_udf(blob: pd.Series, k: pd.Series) -> pd.Series:
         [
             BSI.deserialize(b).le_const(int(kk)).serialize()
             for b, kk in zip(blob, k)
-        ]
-    )
-
-
-@F.pandas_udf(BinaryType())
-def bsi_mul_bitmap_udf(blob: pd.Series, bm: pd.Series) -> pd.Series:
-    """X * filter (binary multiplication, §4.1.2) -> BSI blob."""
-    return pd.Series(
-        [
-            BSI.deserialize(b)
-            .multiply_binary(RoaringBitmap.deserialize(m))
-            .serialize()
-            for b, m in zip(blob, bm)
         ]
     )
 
@@ -119,21 +105,3 @@ def grouped_distinct_pos(group_cols: list[str], blob_col: str):
         [f"{c} long" for c in group_cols] + [f"{blob_col} binary"]
     )
     return fn, schema
-
-
-def decode_bsi_column(df: DataFrame, blob_col: str, keys: list[str]) -> DataFrame:
-    """Explode a BSI blob column back to (keys..., position, value) rows
-    — the inverse of the conversion pipeline, used in tests."""
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for _, r in pdf.iterrows():
-            pos, vals = BSI.deserialize(r[blob_col]).to_arrays()
-            d = {k: r[k] for k in keys}
-            frames.append(
-                pd.DataFrame({**d, "position": pos.astype("int64"), "value": vals.astype("int64")})
-            )
-        return pd.concat(frames, ignore_index=True)
-
-    schema = ", ".join([f"{k} long" for k in keys] + ["position long", "value long"])
-    return df.select(*keys, blob_col).groupBy(keys[0]).applyInPandas(fn, schema)

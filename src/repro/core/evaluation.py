@@ -337,3 +337,15 @@ def table8_run_normal(w: Table8Workload) -> pd.DataFrame:
     return w.engine.query_normal(
         strategy_ids=w.strategy_ids, metric_ids=w.metric_ids, dates=w.dates
     )
+
+
+def table8_check(w: Table8Workload) -> None:
+    """Raise AssertionError unless both methods return the same frame
+    (sorted on strategy/metric/date, values compared exactly); run it
+    before reporting any Table 8 latency."""
+    key = ["strategy_id", "metric_id", "date"]
+    bsi, normal = (
+        fn(w).sort_values(key).reset_index(drop=True)
+        for fn in (table8_run_bsi, table8_run_normal)
+    )
+    pd.testing.assert_frame_equal(bsi, normal, check_exact=True)

@@ -102,6 +102,28 @@ def test_duplicate_positions_rejected():
         BSI.from_arrays([1, 1], [2, 3])
 
 
+@pytest.mark.parametrize(
+    "vals", [[-1], np.array([3, -2], dtype=np.int64), np.array([-(1 << 40)], dtype=np.int64)]
+)
+def test_negative_values_rejected(vals):
+    with pytest.raises(ValueError, match="values"):
+        BSI.from_arrays(np.arange(len(vals)), vals)
+
+
+@pytest.mark.parametrize(
+    "pos", [[(1 << 32) + 5], np.array([1, 1 << 32], dtype=np.uint64), [-1]]
+)
+def test_positions_outside_uint32_rejected(pos):
+    with pytest.raises(ValueError, match="positions"):
+        BSI.from_arrays(pos, np.ones(len(pos), dtype=np.uint64))
+
+
+def test_boundary_inputs_accepted():
+    b = BSI.from_arrays(np.array([0, (1 << 32) - 1], dtype=np.int64), [1, (1 << 64) - 1])
+    assert as_dict(b) == {0: 1, (1 << 32) - 1: (1 << 64) - 1}
+    assert BSI.from_arrays([], []).nslices() == 0
+
+
 def test_serde_roundtrip():
     for d, _ in PAIRS:
         b = ref(d)

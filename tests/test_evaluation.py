@@ -114,6 +114,17 @@ def test_table8_methods_agree_small():
     assert len(a) == 3 * 6 * 3
 
 
+def test_table8_check_rejects_a_mismatch(monkeypatch):
+    w = E.table8_build(n_users=2000, n_segments=2, n_metrics=2, n_days=2)
+    E.table8_check(w)
+    normal = w.engine.query_normal
+    monkeypatch.setattr(
+        w.engine, "query_normal", lambda **kw: normal(**kw).assign(exposed=lambda f: f.exposed + 1)
+    )
+    with pytest.raises(AssertionError):
+        E.table8_check(w)
+
+
 def test_table7_methods_agree_small(spark):
     w = E.table7_build(
         spark, n_users=3000, n_segments=4, n_metrics=3, n_experiments=1

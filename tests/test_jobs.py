@@ -61,7 +61,8 @@ def test_table8_job(capsys):
 
     out = j.run(n_users=4000, repeats=1)
     assert out["Normal"] > 0 and out["BSI"] > 0
-    assert "Table 8" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "Table 8" in printed and "BSI frame == normal frame" in printed
 
 
 def test_scorecard_demo_job(spark, capsys):
